@@ -59,14 +59,14 @@
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionMode};
 use crate::calibration::{CalibrationConfig, MarginKey, MarginModel, ServiceClass};
-use crate::driver::{BatchResult, SelectedDevice};
+use crate::driver::{BatchResult, JobDriver, SelectedDevice};
 use crate::events::{Event, EventQueue};
 use crate::exec::ShardedExecutor;
 use crate::fleet::FleetDevice;
 use crate::job::TenantJob;
 use crate::lease::{LeaseLedger, LeaseTerms, Urgency};
 use crate::shard::ShardTask;
-use crate::split::{self, JobRunner, SplitConfig};
+use crate::split::{self, SplitConfig};
 use crate::telemetry::{
     DeviceTelemetry, FleetTelemetry, JobRecord, JobStatus, JobTelemetry, OrchestratorReport,
     TenantUsage,
@@ -346,7 +346,7 @@ struct Sim<'a> {
     devices: Vec<DeviceState>,
     leases: LeaseLedger,
     events: EventQueue,
-    drivers: Vec<Option<JobRunner>>,
+    drivers: Vec<Option<JobDriver>>,
     /// Per job: shards with a queued batch request or active lease (a shard
     /// never has more than one pending batch in the system).
     in_flight: Vec<HashSet<usize>>,
@@ -509,8 +509,8 @@ impl<'a> Sim<'a> {
     /// position (`None` = not hoisted, stage B computes inline).
     ///
     /// An expiry is hoist-safe iff its lease is still the device's active
-    /// lease *and* the job runs as [`JobRunner::Single`]. Why that is
-    /// exactly the sequential result:
+    /// lease *and* it is the job's only batch in flight (`in_flight[job]`
+    /// is exactly its shard). Why that is exactly the sequential result:
     ///
     /// - **Its own staleness cannot change inside the barrier.** A lease
     ///   completes only through its unique `LeaseDone` event, and
@@ -518,18 +518,20 @@ impl<'a> Sim<'a> {
     ///   (`try_preempt` refuses when no occupancy remains to save), so a
     ///   lease live at the barrier's start is live when its event replays
     ///   — and a stale one stays stale.
-    /// - **No earlier batch event can touch a `Single` runner.** A
-    ///   `Single` job keeps exactly one batch in the system — while this
-    ///   lease is active it has no queued request to grant (no checkpoint
-    ///   read) and no other expiry to execute, and triage hold releases
-    ///   only follow its *own* `execute_batch`. So the runner's state when
-    ///   its event replays equals its state at the barrier's start, and
-    ///   the hoisted compute is bit-identical to the inline call.
+    /// - **No earlier batch event can touch the job's driver.** With no
+    ///   other shard in flight the job has no queued request to grant (no
+    ///   checkpoint read) and no other expiry to execute, and triage hold
+    ///   releases and new requests only follow its *own* `execute_batch`.
+    ///   So the driver's state when its event replays equals its state at
+    ///   the barrier's start, and the hoisted compute is bit-identical to
+    ///   the inline call.
     ///
-    /// `Split` runners share optimizer state (triage barriers, merge
-    /// reports) across their sub-leases, whose same-instant events *do*
-    /// interleave with grants reading shard checkpoints — their compute
-    /// stays inline in stage B, at its exact sequential position.
+    /// An unsplit job always qualifies (one batch in the system at a
+    /// time); a split job qualifies once its live rung has narrowed to one
+    /// busy shard. Split jobs with several shards in flight share driver
+    /// state (the rung barrier) across sub-leases whose same-instant events
+    /// *do* interleave with grants reading shard checkpoints — their
+    /// compute stays inline in stage B, at its exact sequential position.
     fn hoist_batch(
         &mut self,
         batch: &[Event],
@@ -553,10 +555,11 @@ impl<'a> Sim<'a> {
             }
             let (job, job_shard) = (active.job, active.shard());
             debug_assert!(active.remaining(now) <= 0.0, "expiry event at lease end");
-            if !matches!(self.drivers[job], Some(JobRunner::Single(_))) {
+            let in_flight = &self.in_flight[job];
+            if in_flight.len() != 1 || !in_flight.contains(&job_shard) {
                 continue;
             }
-            let runner = self.drivers[job].take().expect("matched above");
+            let runner = self.drivers[job].take().expect("a leased job is active");
             tasks.push(ShardTask {
                 pos,
                 job,
@@ -655,15 +658,11 @@ impl<'a> Sim<'a> {
         let mut selected: Vec<SelectedDevice> = Vec::new();
         for p in &placements {
             if !selected.iter().any(|s| s.fleet_index == p.device) {
-                selected.push(SelectedDevice {
-                    fleet_index: p.device,
-                    calibration: self.fleet[p.device].calibration().clone(),
-                    speed: self.fleet[p.device].speed(),
-                });
+                selected.push(SelectedDevice::of(self.fleet, p.device));
             }
         }
         let runner =
-            match split::build_runner(spec, &selected, self.fleet, &views, self.config, now) {
+            match split::build_driver(spec, &selected, self.fleet, &views, self.config, now) {
                 Err(rejected) => {
                     self.tracer.emit(
                         now,
@@ -694,9 +693,7 @@ impl<'a> Sim<'a> {
         // the ladder's entry rung, so reprice them there rather than at
         // zero (which would let unkeepable SLAs through).
         let secs = runner.seconds_per_execution_by_fleet(self.fleet.len());
-        let ladder_entry = runner
-            .entry_device()
-            .expect("a fresh runner has a pending batch");
+        let ladder_entry = runner.entry_device();
         let priced: Vec<Placement> = placements
             .iter()
             .map(|p| {

@@ -11,13 +11,13 @@
 //! the trace stream, telemetry, and calibration history byte-identical to
 //! the sequential engine. Note the two meanings of "shard" in this crate:
 //! a [`DeviceShard`] is a *device group* of the engine's executor, while a
-//! [`crate::split`] shard is one device-resident slice of a split job.
+//! *job shard* is one device serving one rung of a job's ladder (one per
+//! rung unsplit; [`crate::split`] widens rungs onto twin devices).
 
-use crate::driver::BatchResult;
-use crate::split::JobRunner;
+use crate::driver::{BatchResult, JobDriver};
 
 /// A batch of deferred lease compute hoisted out of one barrier event: the
-/// job's runner travels to the shard's worker, runs its pending batch for
+/// job's driver travels to the shard's worker, runs its pending batch for
 /// `job_shard`, and returns home before the barrier's events replay.
 pub(crate) struct ShardTask {
     /// Position of the originating event in the barrier's `(time, seq)`
@@ -25,14 +25,14 @@ pub(crate) struct ShardTask {
     pub pos: usize,
     /// Engine job index (owner of the runner).
     pub job: usize,
-    /// The job's own shard index (0 for unsplit jobs); see module docs for
-    /// the job-shard vs device-shard distinction.
+    /// The job shard whose batch completed (always 0 for unsplit jobs);
+    /// see module docs for the job-shard vs device-shard distinction.
     pub job_shard: usize,
     /// Fleet device whose lease completed.
     pub device: usize,
     /// The runner, taken from the engine's driver table for the duration
     /// of the barrier.
-    pub runner: JobRunner,
+    pub runner: JobDriver,
 }
 
 /// A [`ShardTask`] after its shard executed the pending batch.
@@ -42,8 +42,8 @@ pub(crate) struct CompletedTask {
     /// Engine job index, for restoring the runner.
     pub job: usize,
     /// The advanced runner, returned to the engine's driver table.
-    pub runner: JobRunner,
-    /// What [`JobRunner::execute_batch`] produced — spliced into the
+    pub runner: JobDriver,
+    /// What [`JobDriver::execute_batch`] produced — spliced into the
     /// engine's lease-completion bookkeeping in place of the inline call.
     pub result: BatchResult,
 }

@@ -162,13 +162,39 @@ fn preemption_scenario_is_bit_identical_across_shard_counts() {
 
 #[test]
 fn split_scenario_is_bit_identical_across_shard_counts() {
-    // Split (multi-device) runners take the inline stage-B path, so this
-    // pins the hoist-safety *filter* as much as the executor itself.
+    // A split job's completions are hoisted only while its live rung has a
+    // single shard in flight; with several in flight they take the inline
+    // stage-B path. So this pins the hoist-safety *filter* as much as the
+    // executor itself.
     let config = OrchestratorConfig {
         split: SplitConfig::enabled(),
         ..OrchestratorConfig::default()
     };
     assert_shard_invariant(&config, two_lf_two_hf_fleet, &split_jobs(20.0), &[1, 2, 4]);
+}
+
+#[test]
+fn narrowing_split_scenario_is_bit_identical_across_shard_counts() {
+    // Five restarts deal 3/2 across the exploration twins, and TopK(3)
+    // deals its survivors 2/1 across the fine-tuning twins, so each rung
+    // narrows to one busy shard before it drains. Those completions are
+    // the job's only batch in flight, so they are hoisted onto the
+    // executor like an unsplit job's.
+    let config = OrchestratorConfig {
+        split: SplitConfig::enabled(),
+        ..OrchestratorConfig::default()
+    };
+    let jobs: Vec<TenantJob> = split_jobs(20.0)
+        .into_iter()
+        .map(|job| {
+            let cfg = QoncordConfig {
+                selection: SelectionPolicy::TopK(3),
+                ..job.config.clone()
+            };
+            job.with_restarts(5).with_config(cfg)
+        })
+        .collect();
+    assert_shard_invariant(&config, two_lf_two_hf_fleet, &jobs, &[1, 2, 4]);
 }
 
 #[test]
